@@ -16,9 +16,9 @@ finished work *durable*:
 
 The journal stores :class:`~repro.harness.parallel.RunRecord` rows, not
 outcomes: outcome payloads belong to the (checksummed) result cache.  A
-journal is therefore small, human-readable, and safe to truncate — a
-torn tail line (the signature of a crash mid-append) is detected and cut
-off on load, never propagated.
+journal is therefore small and human-readable.  Torn-tail truncation,
+stale rotation and fsync are the shared :class:`repro.durable.Journal`
+contract (docs/internals.md, "Durable files").
 
 Format (one JSON object per line)::
 
@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
-import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+from repro.durable import Journal
 
 #: bump when RunOutcome's schema or run semantics change incompatibly —
 #: stale cache entries from an older layout must not be deserialized.
@@ -125,7 +125,8 @@ def record_from_dict(data: dict):
 
 
 class SweepJournal:
-    """Append-only fsynced JSONL journal of completed run records.
+    """Fsynced journal of completed run records — a fold over
+    :class:`~repro.durable.Journal`.
 
     One instance is bound to one sweep digest; :meth:`load` returns the
     records of a previous (possibly killed) run of the same sweep, and
@@ -133,118 +134,37 @@ class SweepJournal:
     """
 
     def __init__(self, root: Union[str, Path], digest: str) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.digest = digest
-        self.path = self.root / f"sweep-{digest[:24]}.jsonl"
-        self._fh = None
-        self.appended = 0
-
-    # -- reading ------------------------------------------------------------
+        root = Path(root)
+        root.mkdir(parents=True, exist_ok=True)
+        header = {
+            "journal": _HEADER_KIND,
+            "version": JOURNAL_VERSION,
+            "schema": CACHE_SCHEMA,
+            "sweep": digest,
+        }
+        self._log = Journal(root / f"sweep-{digest[:24]}.jsonl", header)
+        self.path = self._log.path
 
     def load(self) -> Dict[str, object]:
-        """Parse the journal; returns ``{spec_key: RunRecord}``.
-
-        Tolerates a torn tail line (crash mid-append): everything up to
-        the last complete, valid line is returned and the torn bytes are
-        truncated away so subsequent appends start on a clean boundary.
-        A journal whose header names a different sweep or schema is
-        rotated to ``*.stale`` and treated as empty.
-        """
-        if not self.path.exists():
-            return {}
-        raw = self.path.read_bytes()
+        """Parse the journal; returns ``{spec_key: RunRecord}``."""
         entries: Dict[str, object] = {}
-        valid_end = 0
-        offset = 0
-        header_ok = False
-        for line in raw.split(b"\n"):
-            consumed = len(line) + 1  # the newline
-            # the final fragment has no newline — only count it if valid
-            has_newline = offset + len(line) < len(raw)
-            try:
-                obj = json.loads(line.decode("utf-8")) if line.strip() else None
-            except (ValueError, UnicodeDecodeError):
-                break  # torn or corrupt line: stop, truncate the rest
-            if obj is None:
-                if has_newline:
-                    valid_end = offset + consumed
-                    offset += consumed
-                    continue
-                break
-            if not header_ok:
-                if (
-                    not isinstance(obj, dict)
-                    or obj.get("journal") != _HEADER_KIND
-                    or obj.get("version") != JOURNAL_VERSION
-                    or obj.get("schema") != CACHE_SCHEMA
-                    or obj.get("sweep") != self.digest
-                ):
-                    self._rotate_stale()
-                    return {}
-                header_ok = True
-            else:
-                try:
-                    entries[obj["key"]] = record_from_dict(obj["record"])
-                except (KeyError, TypeError):
-                    break  # structurally torn entry: stop here
-            if not has_newline:
-                break  # valid JSON but no terminator: treat as torn
-            valid_end = offset + consumed
-            offset += consumed
-        if valid_end < len(raw):
-            with open(self.path, "r+b") as fh:
-                fh.truncate(valid_end)
+
+        def fold(obj) -> None:
+            entries[obj["key"]] = record_from_dict(obj["record"])
+
+        self._log.load(fold)
         return entries
-
-    def _rotate_stale(self) -> None:
-        stale = self.path.with_suffix(".jsonl.stale")
-        try:
-            os.replace(self.path, stale)
-        except OSError:
-            self.path.unlink(missing_ok=True)
-
-    # -- writing ------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Discard any previous journal for this sweep (fresh run)."""
-        self.close()
-        self.path.unlink(missing_ok=True)
-
-    def _ensure_open(self) -> None:
-        if self._fh is not None:
-            return
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._fh = open(self.path, "ab")
-        if fresh:
-            header = {
-                "journal": _HEADER_KIND,
-                "version": JOURNAL_VERSION,
-                "schema": CACHE_SCHEMA,
-                "sweep": self.digest,
-            }
-            self._write_line(header)
-
-    def _write_line(self, obj: dict) -> None:
-        self._fh.write(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def append(self, key: str, record) -> None:
         """Durably journal one completed record (fsync before return)."""
-        self._ensure_open()
-        self._write_line({"key": key, "record": record_to_dict(record)})
-        self.appended += 1
+        self._log.append({"key": key, "record": record_to_dict(record)})
+
+    def reset(self) -> None:
+        """Discard any previous journal for this sweep (fresh run)."""
+        self._log.reset()
 
     def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except (OSError, ValueError):
-                pass
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
     def __enter__(self) -> "SweepJournal":
         return self

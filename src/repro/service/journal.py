@@ -1,12 +1,8 @@
 """Crash-safe request journal — the daemon's durability backbone.
 
-Same discipline as :class:`repro.harness.checkpoint.SweepJournal`: one
-fsynced JSON line per state transition, a header line pinning the
-journal kind and schema version, torn-tail truncation on load (a crash
-mid-append cuts the journal at the last complete line, never corrupts
-it), and stale rotation when the header disagrees.
-
-Two operations::
+A fold over :class:`repro.durable.Journal` (header pin, torn-tail
+truncation, stale rotation, fsync before return; docs/internals.md,
+"Durable files") with two operations::
 
     {"journal": "repro-service", "version": 1, "schema": 1}
     {"op": "accepted", "key": "<content key>", "request": {...}}
@@ -20,18 +16,17 @@ the log: a key with ``done`` is completed (served from the index, zero
 recomputation); ``accepted`` without ``done`` is in-flight and gets
 re-run on restart (the drain).
 
-Trace uploads are spooled to ``uploads/<key>.trc`` (fsynced, atomic
-rename) *before* their ``accepted`` line — the journal stores only the
-key, the payload survives next to it.
+Trace uploads are spooled to ``uploads/<key>.trc`` (the shared atomic
+write: fsync, rename) *before* their ``accepted`` line — the journal
+stores only the key, the payload survives next to it.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from repro.durable import Journal, atomic_write, temp_path
 from repro.service.schema import SCHEMA_VERSION
 
 __all__ = ["RequestJournal"]
@@ -43,17 +38,19 @@ JOURNAL_VERSION = 1
 
 
 class RequestJournal:
-    """Append-only fsynced JSONL journal of request lifecycle events."""
+    """Fsynced journal of request lifecycle events."""
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.path = self.root / "requests.jsonl"
+        header = {
+            "journal": _HEADER_KIND,
+            "version": JOURNAL_VERSION,
+            "schema": SCHEMA_VERSION,
+        }
+        self._log = Journal(self.root / "requests.jsonl", header)
+        self.path = self._log.path
         self.uploads = self.root / "uploads"
-        self._fh = None
-        self.appended = 0
-
-    # -- reading ------------------------------------------------------------
 
     def load(self) -> Tuple[Dict[str, dict], Dict[str, dict]]:
         """Fold the journal; returns ``(pending, completed)``.
@@ -61,104 +58,32 @@ class RequestJournal:
         ``pending`` maps content key → the original request object for
         every ``accepted`` without a matching ``done`` (in insertion
         order — the restart drain re-runs them oldest first);
-        ``completed`` maps key → the journaled response.  Torn tail
-        lines are truncated away; a journal with a foreign header is
-        rotated to ``*.stale`` and treated as empty.
+        ``completed`` maps key → the journaled response.
         """
-        if not self.path.exists():
-            return {}, {}
-        raw = self.path.read_bytes()
         pending: Dict[str, dict] = {}
         completed: Dict[str, dict] = {}
-        valid_end = 0
-        offset = 0
-        header_ok = False
-        for line in raw.split(b"\n"):
-            consumed = len(line) + 1
-            has_newline = offset + len(line) < len(raw)
-            try:
-                obj = json.loads(line.decode("utf-8")) if line.strip() else None
-            except (ValueError, UnicodeDecodeError):
-                break  # torn or corrupt line: stop, truncate the rest
-            if obj is None:
-                if has_newline:
-                    valid_end = offset + consumed
-                    offset += consumed
-                    continue
-                break
-            if not has_newline:
-                # Valid JSON but the crash ate the terminator: the line
-                # is torn.  Checked *before* folding it, so the returned
-                # state always matches the truncated file.
-                break
-            if not header_ok:
-                if (
-                    not isinstance(obj, dict)
-                    or obj.get("journal") != _HEADER_KIND
-                    or obj.get("version") != JOURNAL_VERSION
-                    or obj.get("schema") != SCHEMA_VERSION
-                ):
-                    self._rotate_stale()
-                    return {}, {}
-                header_ok = True
+
+        def fold(obj) -> bool:
+            op, key = obj["op"], obj["key"]
+            if op == "accepted":
+                pending.setdefault(key, obj["request"])
+            elif op == "done":
+                completed[key] = obj["response"]
+                pending.pop(key, None)
             else:
-                try:
-                    op, key = obj["op"], obj["key"]
-                    if op == "accepted":
-                        pending.setdefault(key, obj["request"])
-                    elif op == "done":
-                        completed[key] = obj["response"]
-                        pending.pop(key, None)
-                    else:
-                        break  # unknown op: treat as torn
-                except (KeyError, TypeError):
-                    break  # structurally torn entry: stop here
-            valid_end = offset + consumed
-            offset += consumed
-        if valid_end < len(raw):
-            with open(self.path, "r+b") as fh:
-                fh.truncate(valid_end)
+                return False  # unknown op: treat as torn
+            return True
+
+        self._log.load(fold)
         return pending, completed
-
-    def _rotate_stale(self) -> None:
-        stale = self.path.with_suffix(".jsonl.stale")
-        try:
-            os.replace(self.path, stale)
-        except OSError:
-            self.path.unlink(missing_ok=True)
-
-    # -- writing ------------------------------------------------------------
-
-    def _ensure_open(self) -> None:
-        if self._fh is not None:
-            return
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._fh = open(self.path, "ab")
-        if fresh:
-            self._write_line(
-                {
-                    "journal": _HEADER_KIND,
-                    "version": JOURNAL_VERSION,
-                    "schema": SCHEMA_VERSION,
-                }
-            )
-
-    def _write_line(self, obj: dict) -> None:
-        self._fh.write(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def accepted(self, key: str, request: dict) -> None:
         """Durably journal an accepted request (fsync before return)."""
-        self._ensure_open()
-        self._write_line({"op": "accepted", "key": key, "request": request})
-        self.appended += 1
+        self._log.append({"op": "accepted", "key": key, "request": request})
 
     def done(self, key: str, response: dict) -> None:
         """Durably journal a completed request with its full response."""
-        self._ensure_open()
-        self._write_line({"op": "done", "key": key, "response": response})
-        self.appended += 1
+        self._log.append({"op": "done", "key": key, "response": response})
 
     # -- trace upload spool -------------------------------------------------
 
@@ -170,14 +95,8 @@ class RequestJournal:
         """
         self.uploads.mkdir(parents=True, exist_ok=True)
         dest = self.uploads / f"{key}.trc"
-        if dest.exists():
-            return dest
-        tmp = dest.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, dest)
+        if not dest.exists():
+            atomic_write(temp_path(dest), dest, payload)
         return dest
 
     def upload_path(self, key: str) -> Optional[Path]:
@@ -193,14 +112,7 @@ class RequestJournal:
         )
 
     def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except (OSError, ValueError):
-                pass
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
     def __enter__(self) -> "RequestJournal":
         return self

@@ -110,8 +110,9 @@ class TestJournal:
         j = SweepJournal(tmp_path, "a" * 64)
         j.append("k1", _record())
         j.close()
-        other = SweepJournal(tmp_path, "a" * 64)
-        other.digest = "b" * 64  # same path, different sweep identity
+        # same path (digest prefix), different sweep identity
+        other = SweepJournal(tmp_path, "a" * 24 + "b" * 40)
+        assert other.path == j.path
         assert other.load() == {}
         assert j.path.with_suffix(".jsonl.stale").exists()
         assert not j.path.exists()

@@ -1,6 +1,5 @@
 """The parallel sweep engine: equivalence, cache, robustness, registry."""
 
-import json
 import os
 import pickle
 import signal
@@ -14,7 +13,9 @@ from repro.harness.parallel import (
     ResultCache,
     RunSpec,
     SweepError,
+    WorkerPool,
     _sigterm_as_interrupt,
+    _Worker,
     run_sweep,
     sweep_specs,
     summarize_records,
@@ -321,34 +322,6 @@ class TestCacheIntegrity:
         assert not list(tmp_path.glob("*.tmp*"))
         assert cache._path(key).exists()
 
-    def test_truncated_entry_quarantined_not_crash(self, tmp_path):
-        cache, key = self._prime(tmp_path)
-        path = cache._path(key)
-        path.write_bytes(path.read_bytes()[:40])
-        assert cache.get(key) is None  # a miss, never a raise
-        assert not path.exists()
-        (q,) = [e for e in cache.quarantined if e.key == key]
-        assert q.reason in ("truncated", "checksum-mismatch")
-        note = json.loads(
-            (cache.corrupt_dir / f"{key}.note.json").read_text()
-        )
-        assert note["key"] == key and note["reason"] == q.reason
-
-    def test_bitflip_fails_checksum(self, tmp_path):
-        cache, key = self._prime(tmp_path)
-        path = cache._path(key)
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF
-        path.write_bytes(bytes(data))
-        assert cache.get(key) is None
-        assert cache.quarantined[-1].reason == "checksum-mismatch"
-
-    def test_foreign_blob_is_bad_magic(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache._path("f" * 64).write_bytes(b"not a cache entry at all" * 4)
-        assert cache.get("f" * 64) is None
-        assert cache.quarantined[-1].reason == "bad-magic"
-
     def test_legacy_unframed_pickle_is_quarantined(self, tmp_path):
         # an entry written by the pre-framing layout must not deserialize
         cache = ResultCache(tmp_path)
@@ -476,6 +449,43 @@ class TestSupervision:
         (rec,) = result.records
         assert rec.status == "poison"
         assert rec.attempts == 3
+
+    def test_result_sent_just_before_exit_is_not_a_crash(self):
+        """The child sends ("ok", outcome) and exits between the drain's
+        last ``poll(0)`` and the ``is_alive()`` check: the pool must
+        deliver the result, not report ``crash: exit code 0``."""
+
+        class LateConn:
+            def __init__(self):
+                self.polls = 0
+                self.msgs = [("ok", "outcome")]
+
+            def poll(self, _timeout):
+                self.polls += 1
+                return self.polls > 1 and bool(self.msgs)
+
+            def recv(self):
+                return self.msgs.pop(0)
+
+            def close(self):
+                pass
+
+        class ExitedProc:
+            exitcode = 0
+
+            def is_alive(self):
+                return False
+
+            def join(self, timeout=None):
+                pass
+
+        pool = WorkerPool(workers=1)
+        pool._active[ExitedProc()] = _Worker(
+            token="t", conn=LateConn(), attempt=1, start_t=0.0, deadline=None
+        )
+        (exit,) = pool.poll()
+        assert (exit.kind, exit.payload, exit.token) == ("ok", "outcome", "t")
+        assert pool.active == 0
 
 
 class TestMetricsIntegration:

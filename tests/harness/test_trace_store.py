@@ -8,14 +8,11 @@ tool configuration is deliberately *excluded* so one recording serves
 every preset of a sweep cell.
 """
 
-import json
-
 import pytest
 
 from repro.detectors import ToolConfig
 from repro.harness.parallel import RunSpec
 from repro.trace import Trace, TraceStore, key_for_spec, record_trace, trace_key
-from repro.trace.store import TRACE_SCHEMA, _TRACE_HEADER
 
 from tests.conftest import flag_handoff_program
 
@@ -77,39 +74,6 @@ class TestRoundTrip:
 
 
 class TestCorruption:
-    def test_flipped_byte_quarantines(self, store, trace):
-        store.put(KEY, trace)
-        path = store._path(KEY)
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF
-        path.write_bytes(bytes(data))
-        assert store.get(KEY) is None
-        assert not path.exists()  # moved aside, not left in place
-        assert store.quarantined[0].key == KEY
-        note = json.loads(
-            (store.corrupt_dir / f"{KEY}.note.json").read_text()
-        )
-        assert note["reason"] == "checksum-mismatch"
-
-    def test_truncated_entry_quarantines(self, store, trace):
-        store.put(KEY, trace)
-        path = store._path(KEY)
-        path.write_bytes(path.read_bytes()[:10])
-        assert store.get(KEY) is None
-        assert store.quarantined[0].reason == "truncated"
-
-    def test_schema_mismatch_quarantines(self, store, trace):
-        store.put(KEY, trace)
-        path = store._path(KEY)
-        data = bytearray(path.read_bytes())
-        # rewrite the header with a future schema number
-        data[: _TRACE_HEADER.size] = _TRACE_HEADER.pack(
-            b"RPRT", 1, TRACE_SCHEMA + 1
-        )
-        path.write_bytes(bytes(data))
-        assert store.get(KEY) is None
-        assert store.quarantined[0].reason == f"schema-{TRACE_SCHEMA + 1}"
-
     def test_doctor_scans_and_purges(self, store, trace):
         store.put(KEY, trace)
         bad = "b" * 64

@@ -25,7 +25,7 @@ from repro.trace import (
     open_trace_file,
     record_trace,
 )
-from repro.trace.store import _DIGEST_LEN, _TRACE_HEADER
+from repro.durable import DIGEST_LEN, HEADER
 from repro.trace.trace import _decode_event, _encode_event, _loc_parse, _loc_str
 from repro.vm import events as ev
 
@@ -146,7 +146,7 @@ class TestGoldenFile:
 
 # -- truncated / corrupt stream family --------------------------------------
 
-_HEADER_LEN = _TRACE_HEADER.size + _DIGEST_LEN
+_HEADER_LEN = HEADER.size + DIGEST_LEN
 
 
 def _reframe(data: bytes, payload: bytes) -> bytes:
@@ -156,7 +156,7 @@ def _reframe(data: bytes, payload: bytes) -> bytes:
     actually decoding — exactly the failure mode a torn write or a
     buggy producer leaves behind.
     """
-    return data[:_TRACE_HEADER.size] + hashlib.sha256(payload).digest() + payload
+    return data[:HEADER.size] + hashlib.sha256(payload).digest() + payload
 
 
 def _cut_mid_gzip_member(data: bytes) -> bytes:

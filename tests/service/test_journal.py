@@ -112,4 +112,4 @@ class TestUploadSpool:
     def test_no_tmp_droppings(self, root):
         j = RequestJournal(root)
         j.spool_upload("k1", b"RPRT")
-        assert list(j.uploads.glob("*.tmp")) == []
+        assert list(j.uploads.glob("*.tmp*")) == []
