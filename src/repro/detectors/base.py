@@ -27,12 +27,13 @@ handoff patterns.  This is exactly the sensitivity trade-off visible in
 the paper's test-suite table (Helgrind+ misses 8 races where DRD misses
 20, while reporting more false alarms without spin detection).
 
-Epoch fast path (``fast_path=True``, the default)
--------------------------------------------------
+Epochs
+------
 
-FastTrack-style optimization of the two hot operations; reports are
-bit-identical to the full vector-clock path (``fast_path=False``, kept
-as the differential-testing reference):
+The two hot operations use FastTrack-style epochs (the standard
+representation for single-path happens-before analysis); the reports
+they produce are pinned by the golden table in
+``tests/data/report_fingerprints.json``:
 
 * **Writes are epochs.**  A :class:`WriteRecord` stores just
   ``(tid, clock)`` plus a reference to the writer's join-stable *frame*
@@ -70,10 +71,8 @@ _EMPTY: FrozenSet[int] = frozenset()
 class WriteRecord:
     """Last write to an address, stored as an epoch.
 
-    The write-time vector clock is available as :attr:`vc` either
-    eagerly (legacy path: pass ``vc=``) or lazily from a join-stable
-    frame (fast path: pass ``frame=``) — the materialized dict is
-    identical either way: the frame's other-thread components are
+    The write-time vector clock is materialized lazily as :attr:`vc`
+    from a join-stable frame: the frame's other-thread components are
     current by construction and its own component is overridden with the
     epoch ``clock``.
     """
@@ -88,8 +87,7 @@ class WriteRecord:
         loc: CodeLocation,
         atomic: bool,
         lockset: FrozenSet[int],
-        frame: Optional[VC] = None,
-        vc: Optional[VC] = None,
+        frame: VC,
     ) -> None:
         self.tid = tid
         self.clock = clock
@@ -98,14 +96,14 @@ class WriteRecord:
         self.atomic = atomic
         self.lockset = lockset
         self._frame = frame
-        self._vc = vc
+        self._vc: Optional[VC] = None
 
     @property
     def vc(self) -> VC:
         """The writer's vector clock at the write (lazily materialized)."""
         vc = self._vc
         if vc is None:
-            vc = dict(self._frame or {})
+            vc = dict(self._frame)
             vc[self.tid] = self.clock
             self._vc = vc
         return vc
@@ -179,14 +177,12 @@ class VectorClockAlgorithm:
         symbolize: Optional[Callable[[int], str]] = None,
         coarse_cv: bool = False,
         long_run: bool = False,
-        fast_path: bool = True,
     ) -> None:
         self.report = report
         self.suppressor = suppressor
         self.symbolize = symbolize or hex
         self.coarse_cv = coarse_cv
         self.long_run = long_run
-        self.fast_path = fast_path
         self.threads: Dict[int, ThreadClock] = {}
         self.shadow: Dict[int, _ShadowCell] = {}
         self._lock_vc: Dict[int, VC] = {}
@@ -384,22 +380,21 @@ class VectorClockAlgorithm:
         t = self.thread(tid)
         cell = self._cell(addr)
         cur_ls = self._locks(tid)
-        if self.fast_path:
-            rc = cell.rcache
-            if (
-                rc is not None
-                and rc[0] == tid
-                and rc[1] == t.version
-                and rc[2] is cell.write
-                and rc[4] is cur_ls
-                and rc[5] == atomic
-                and rc[3] == loc
-            ):
-                # Read-same-epoch: identical reader clock, last write,
-                # lockset and access shape as the previous (silent)
-                # check — the outcome and the stored read record would
-                # both repeat verbatim.
-                return
+        rc = cell.rcache
+        if (
+            rc is not None
+            and rc[0] == tid
+            and rc[1] == t.version
+            and rc[2] is cell.write
+            and rc[4] is cur_ls
+            and rc[5] == atomic
+            and rc[3] == loc
+        ):
+            # Read-same-epoch: identical reader clock, last write,
+            # lockset and access shape as the previous (silent) check —
+            # the outcome and the stored read record would both repeat
+            # verbatim.
+            return
         w = cell.write
         silent = True
         if (
@@ -415,8 +410,7 @@ class VectorClockAlgorithm:
                 tid, loc, False, atomic, "write-read",
             )
         cell.reads[tid] = ReadRecord(t.clock, loc, atomic, cur_ls)
-        if self.fast_path:
-            cell.rcache = (tid, t.version, w, loc, cur_ls, atomic) if silent else None
+        cell.rcache = (tid, t.version, w, loc, cur_ls, atomic) if silent else None
 
     def write(
         self, tid: int, addr: int, value: int, loc: CodeLocation, atomic: bool
@@ -450,23 +444,7 @@ class VectorClockAlgorithm:
                         addr, cell, rtid, r.loc, False, r.atomic,
                         tid, loc, True, atomic, "read-write",
                     )
-        if self.fast_path:
-            w = cell.write
-            if w is not None and w.tid == tid:
-                # Exclusive epoch: the owning thread stores again — advance
-                # the record in place, no allocation, no clock copy.
-                w.update(t.clock, value, loc, atomic, cur_ls, t.frame())
-            else:
-                cell.write = WriteRecord(
-                    tid, t.clock, value, loc, atomic, cur_ls, frame=t.frame()
-                )
-            cell.rcache = None
-        else:
-            cell.write = WriteRecord(
-                tid, t.clock, value, loc, atomic, cur_ls, vc=t.snapshot()
-            )
-        if cell.reads:
-            cell.reads.clear()
+        self._record_write(t, cell, value, loc, atomic, cur_ls)
         # Advance the writer's epoch after every write so that an ad-hoc
         # happens-before edge taken from this write's snapshot does NOT
         # cover the writer's *subsequent* accesses.  (A spin loop exit
@@ -485,29 +463,34 @@ class VectorClockAlgorithm:
         writes source ad-hoc happens-before edges via
         :meth:`last_write`), and the cache invalidation — but the race
         *checks* (and ``accesses_checked``) belong to the owning shard
-        alone.  The body mirrors :meth:`write`'s record-maintenance tail
-        exactly so per-cell state stays bit-compatible with an unsharded
-        run.
+        alone.  It shares :meth:`write`'s record maintenance
+        (:meth:`_record_write`) so per-cell state stays bit-compatible
+        with an unsharded run.
         """
         t = self.thread(tid)
-        cell = self._cell(addr)
-        cur_ls = self._locks(tid)
-        if self.fast_path:
-            w = cell.write
-            if w is not None and w.tid == tid:
-                w.update(t.clock, value, loc, atomic, cur_ls, t.frame())
-            else:
-                cell.write = WriteRecord(
-                    tid, t.clock, value, loc, atomic, cur_ls, frame=t.frame()
-                )
-            cell.rcache = None
+        self._record_write(t, self._cell(addr), value, loc, atomic, self._locks(tid))
+        t.tick()
+
+    def _record_write(
+        self,
+        t: ThreadClock,
+        cell: _ShadowCell,
+        value: int,
+        loc: CodeLocation,
+        atomic: bool,
+        lockset: FrozenSet[int],
+    ) -> None:
+        """Make this write the cell's last write and drop its read set."""
+        w = cell.write
+        if w is not None and w.tid == t.tid:
+            # Exclusive epoch: the owning thread stores again — advance
+            # the record in place, no allocation, no clock copy.
+            w.update(t.clock, value, loc, atomic, lockset, t.frame())
         else:
-            cell.write = WriteRecord(
-                tid, t.clock, value, loc, atomic, cur_ls, vc=t.snapshot()
-            )
+            cell.write = WriteRecord(t.tid, t.clock, value, loc, atomic, lockset, t.frame())
+        cell.rcache = None
         if cell.reads:
             cell.reads.clear()
-        t.tick()
 
     # -- end of stream ----------------------------------------------------
 

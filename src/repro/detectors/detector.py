@@ -71,17 +71,6 @@ class ToolConfig:
     #: sites and feed them to lockset analysis instead of hb edges
     #: (meaningful in nolib mode; see repro.analysis.lockinfer)
     infer_locks: bool = False
-    #: FastTrack-style epoch fast path in the algorithms (reports are
-    #: bit-identical either way; off = full-VC reference path)
-    epoch_fast_path: bool = True
-    #: let the VM deliver events in flat per-kind batches instead of one
-    #: listener call per event (ordering kept via in-batch sequence
-    #: numbers; reports are bit-identical either way)
-    batched: bool = True
-    #: run programs through the pre-decoded threaded-code interpreter
-    #: (:mod:`repro.vm.decode`); off = the legacy per-step isinstance
-    #: dispatcher (reports are bit-identical either way)
-    predecoded: bool = True
 
     # -- the paper's presets ------------------------------------------------
 
@@ -247,7 +236,6 @@ class RaceDetector:
             symbolize=symbolize,
             coarse_cv=config.coarse_cv,
             long_run=config.long_run,
-            fast_path=config.epoch_fast_path,
         )
         self._symbolize_explicit = symbolize is not None
         if config.spin:
@@ -266,9 +254,7 @@ class RaceDetector:
     # -- VM attachment -----------------------------------------------------
 
     #: advertises batch delivery to the VM (see :meth:`consume_batch`)
-    @property
-    def batch_capable(self) -> bool:
-        return self.config.batched
+    batch_capable = True
 
     @property
     def skip_in_library_traffic(self) -> bool:
@@ -343,9 +329,9 @@ class RaceDetector:
         ``(seq, event)`` with full :class:`~repro.vm.events.Event`
         objects for the rare control/sync events.  ``seq`` is the VM's
         global event counter, so a three-way merge on it replays the
-        exact per-event order of the unbatched listener — the ad-hoc
+        exact per-event order the VM emitted — the ad-hoc
         counterpart-write matcher and the condvar monitor observe the
-        same interleaving and reports stay bit-identical.
+        program's interleaving.
         """
         nr, nw, nc = len(reads), len(writes), len(ctrl)
         self.events_processed += nr + nw

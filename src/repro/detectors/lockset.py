@@ -148,22 +148,8 @@ class EraserAlgorithm(VectorClockAlgorithm):
         self, tid: int, addr: int, value: int, loc: CodeLocation, atomic: bool
     ) -> None:
         self._access(tid, addr, loc, True, atomic)
-        super_cell = self._cell(addr)
         t = self.thread(tid)
-        from repro.detectors.base import WriteRecord
-
-        if self.fast_path:
-            w = super_cell.write
-            if w is not None and w.tid == tid:
-                w.update(t.clock, value, loc, atomic, self._locks(tid), t.frame())
-            else:
-                super_cell.write = WriteRecord(
-                    tid, t.clock, value, loc, atomic, self._locks(tid), frame=t.frame()
-                )
-        else:
-            super_cell.write = WriteRecord(
-                tid, t.clock, value, loc, atomic, self._locks(tid), vc=t.snapshot()
-            )
+        self._record_write(t, self._cell(addr), value, loc, atomic, self._locks(tid))
         t.tick()
 
     def memory_words(self) -> int:

@@ -122,9 +122,10 @@ class Report:
         Two runs produced identical reports iff their fingerprints are
         byte-equal: every warning field in emission order, the context
         set (sorted), the raw submission count, the partial flag, and
-        the finalize notes.  The differential tests pin the epoch fast
-        path and the batched pipeline against the reference paths with
-        this.
+        the finalize notes.  ``tests/data/report_fingerprints.json`` pins
+        the sha256 of this string for every suite, chaos and PARSEC case
+        under every preset (and ``nolib``), so live, replay, streaming and
+        sharded runs are all checked against absolute values.
         """
         contexts = sorted((name, tuple(sorted(locs))) for name, locs in self.contexts)
         return repr(

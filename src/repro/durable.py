@@ -37,6 +37,7 @@ __all__ = [
     "Journal",
     "Quarantine",
     "atomic_write",
+    "reclaim_temps",
     "temp_path",
 ]
 
@@ -63,6 +64,19 @@ def _pid_alive(pid: int) -> bool:
     except PermissionError:
         pass  # exists, owned by someone else
     return True
+
+
+def reclaim_temps(directory: Path) -> int:
+    """Delete ``<key>.tmp.<pid>`` files in ``directory`` whose writer
+    process is gone (killed between open and rename); returns the count."""
+    removed = 0
+    for path in Path(directory).glob("*.tmp.*"):
+        pid = path.suffix[1:]
+        if pid.isdigit() and not _pid_alive(int(pid)):
+            with contextlib.suppress(OSError):
+                path.unlink()
+                removed += 1
+    return removed
 
 
 # ---------------------------------------------------------------------------
@@ -458,19 +472,10 @@ class FramedStore:
             purged += path.suffix == self.suffix
         return purged
 
-    def _reclaim_temps(self) -> None:
-        """Delete ``<key>.tmp.<pid>`` files whose writer process is gone
-        (killed between open and rename)."""
-        for path in self.root.glob("*.tmp.*"):
-            pid = path.suffix[1:]
-            if pid.isdigit() and not _pid_alive(int(pid)):
-                with contextlib.suppress(OSError):
-                    path.unlink()
-
     def _free_space(self) -> None:
         """ENOSPC pressure valve: purge debris and orphans, enforce quota."""
         self._purge_corrupt()
-        self._reclaim_temps()
+        reclaim_temps(self.root)
         self._enforce_quota()
 
     def __len__(self) -> int:
@@ -509,5 +514,5 @@ class FramedStore:
         report.corrupt_entries = len(list(self.corrupt_dir.glob(f"*{self.suffix}")))
         if purge:
             report.purged = self._purge_corrupt()
-            self._reclaim_temps()
+            reclaim_temps(self.root)
         return report

@@ -42,11 +42,11 @@ from repro.durable import Journal
 #: bump when RunOutcome's schema or run semantics change incompatibly —
 #: stale cache entries from an older layout must not be deserialized.
 #: 2: fault plans + livelock watchdog (RunOutcome/RunResult diagnostics).
-#: 3: epoch fast path + batched event pipeline (ToolConfig gained
-#:    epoch_fast_path/batched; event accounting changed in lib mode).
-#: 4: pre-decoded threaded-code interpreter (ToolConfig gained
-#:    predecoded; RunOutcome gained decode_s; instrument_s now reflects
-#:    the cached static phase).
+#: 3: epoch clocks + batched event pipeline (ToolConfig gained two
+#:    switches for them; event accounting changed in lib mode).
+#: 4: pre-decoded threaded-code interpreter (ToolConfig gained a switch
+#:    for it; RunOutcome gained decode_s; instrument_s now reflects the
+#:    cached static phase).
 #: 5: checksummed cache entries (framed header + sha256) and journaled
 #:    checkpoints; entries written by the unframed layout are
 #:    quarantined, not read.
@@ -56,6 +56,9 @@ from repro.durable import Journal
 #: 7: sharded trace analysis (RunSpec gained shard; each shard of a
 #:    grand-sweep cell is a distinct cache/journal entry, so resume
 #:    works at shard granularity).
+#: No bump when those three switches were removed (one execution path
+#: per layer): the entry layout is unchanged, and because spec_key hashes
+#: every ToolConfig field, keys written before the removal miss once.
 CACHE_SCHEMA = 7
 
 #: bump on incompatible journal layout changes

@@ -1054,7 +1054,6 @@ def prewarm_static(specs: Iterable[RunSpec]) -> int:
             tool.spin_max_blocks,
             tool.inline_depth,
             armed,
-            tool.predecoded,
         )
         if combo in seen:
             continue
@@ -1071,8 +1070,7 @@ def prewarm_static(specs: Iterable[RunSpec]) -> int:
                     max_blocks=tool.spin_max_blocks,
                     inline_depth=tool.inline_depth,
                 )
-            if tool.predecoded:
-                get_decoded_program(program, imap, armed)
+            get_decoded_program(program, imap, armed)
         except Exception:
             continue
         warmed += 1

@@ -19,7 +19,7 @@ of merit is the *ratio* between the two configurations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
@@ -165,46 +165,39 @@ def load_baseline(path: Union[str, Path]) -> Optional[Dict[str, object]]:
 
 
 # ---------------------------------------------------------------------------
-# F3 — analysis-pipeline throughput (epoch fast path + batched delivery)
+# F3 — analysis-pipeline throughput
 
 
 @dataclass(frozen=True)
 class PipelineRow:
-    """One (workload, tool) pair measured under both pipelines.
+    """One (workload, tool) pair: detector throughput on the live path.
 
-    ``fast`` is the shipping pipeline (epoch fast path + batched event
-    delivery); ``legacy`` is the pre-optimization reference
-    (``epoch_fast_path=False, batched=False``).  Both process the same
-    deterministic event stream, so throughput uses a *shared* numerator
-    — the reference pipeline's delivered event count (in lib mode the
-    fast pipeline legitimately skips buffering library-internal traffic,
-    so its own delivered count would undercount the work done).
-
-    The denominator is *analysis time*: wall-clock with the detector
-    attached minus the bare interpreter's wall-clock on the same
-    schedule (``run_bare``, the same accounting as the F2 overhead
+    Throughput is events per second of *analysis time*: wall-clock with
+    the detector attached minus the bare interpreter's wall-clock on the
+    same schedule (``run_bare``, the same accounting as the F2 overhead
     figure).  The interpreter stands in for native execution under
     Valgrind — its cost is the program's, not the pipeline's — so
-    events / analysis-seconds is the throughput of the analysis
-    pipeline itself, and the fast/legacy ratio is the pipeline speedup.
+    events / analysis-seconds is the throughput of the analysis pipeline
+    itself.  Each measured report is checked against the golden table.
     """
 
     workload: str
     tool: str
     spin: bool
-    #: events the reference pipeline delivered to the detector
+    #: events delivered to the detector
     events: int
-    #: wall-clock with the detector attached (machine + detector)
+    #: wall-clock with the detector attached (machine + detector); the
+    #: name is kept so committed ``BENCH_pipeline.json`` rows stay the
+    #: regression baseline
     fast_s: float
-    legacy_s: float
-    #: wall-clock of the bare interpreter, no listener (shared baseline)
+    #: wall-clock of the bare interpreter, no listener
     bare_s: float
     #: detector shadow-state footprint, in words (8-byte words)
-    fast_words: int
-    legacy_words: int
+    words: int
     racy_contexts: int
-    #: the two pipelines produced byte-identical reports
-    reports_match: bool
+    #: report fingerprint, status, steps and events equal the golden
+    #: table's entry (``None``: the table pins no such run)
+    golden_match: Optional[bool]
 
     # Timer noise can push a tiny workload's analysis time to ~0 or even
     # below zero; anything under ~2% of the with-detector wall-clock is
@@ -214,83 +207,66 @@ class PipelineRow:
     _FLOOR = 0.02
 
     @property
-    def fast_analysis_s(self) -> float:
+    def analysis_s(self) -> float:
         return max(self.fast_s - self.bare_s, self.fast_s * self._FLOOR, 1e-9)
 
     @property
-    def legacy_analysis_s(self) -> float:
-        return max(self.legacy_s - self.bare_s, self.legacy_s * self._FLOOR, 1e-9)
-
-    @property
-    def fast_events_per_s(self) -> float:
-        return self.events / self.fast_analysis_s
-
-    @property
-    def legacy_events_per_s(self) -> float:
-        return self.events / self.legacy_analysis_s
-
-    @property
-    def speedup(self) -> float:
-        """Pipeline speedup: legacy analysis time over fast analysis time."""
-        return self.legacy_analysis_s / self.fast_analysis_s
-
-    @property
-    def wall_speedup(self) -> float:
-        """End-to-end wall-clock ratio, interpreter included."""
-        return self.legacy_s / self.fast_s if self.fast_s > 0 else float("nan")
-
-
-def fast_variant(config: ToolConfig) -> ToolConfig:
-    return replace(config, epoch_fast_path=True, batched=True)
-
-
-def legacy_variant(config: ToolConfig) -> ToolConfig:
-    """The pre-optimization reference pipeline for ``config``."""
-    return replace(config, epoch_fast_path=False, batched=False)
+    def events_per_s(self) -> float:
+        return self.events / self.analysis_s
 
 
 def measure_pipeline(
     workloads: Sequence[Workload],
-    configs: Sequence[ToolConfig],
-    seed: int = 1,
+    presets: Sequence[str],
+    family: str,
+    seed: Optional[int] = None,
     repeats: int = 2,
 ) -> List[PipelineRow]:
-    """Measure fast-vs-legacy pipeline throughput over a sweep.
+    """Measure analysis-pipeline throughput over a sweep.
 
-    Every (workload, config) pair runs ``repeats`` times under each
-    pipeline (minimum wall-clock kept) and the two reports are checked
-    for byte-identity — a perf number from a pipeline that changed
-    verdicts would be meaningless.
+    Every (workload, preset name) pair runs ``repeats`` times (minimum
+    wall-clock kept) at ``seed`` (default: each workload's pinned seed),
+    and the report is checked against the golden table's
+    ``family|workload|preset|seed`` entry — a perf number from a pipeline
+    that changed verdicts would be meaningless.
     """
+    from repro.harness.golden import golden_entry, golden_key, load_golden
+
+    golden = load_golden()
     rows: List[PipelineRow] = []
     for wl in workloads:
-        bare_s = min(run_bare(wl, seed=seed) for _ in range(repeats))
-        for cfg in configs:
-            fast_cfg = fast_variant(cfg)
-            legacy_cfg = legacy_variant(cfg)
-            legacy_runs = [
-                run_workload(wl, legacy_cfg, seed=seed) for _ in range(repeats)
-            ]
-            fast_runs = [run_workload(wl, fast_cfg, seed=seed) for _ in range(repeats)]
-            legacy_best = min(legacy_runs, key=lambda r: r.duration_s)
-            fast_best = min(fast_runs, key=lambda r: r.duration_s)
+        run_seed = wl.seed if seed is None else seed
+        bare_s = min(run_bare(wl, seed=run_seed) for _ in range(repeats))
+        for preset in presets:
+            cfg = ToolConfig.preset(preset)
+            best = min(
+                (run_workload(wl, cfg, seed=run_seed) for _ in range(repeats)),
+                key=lambda r: r.duration_s,
+            )
+            expected = golden.get(golden_key(family, wl.name, preset, run_seed))
             rows.append(
                 PipelineRow(
                     workload=wl.name,
                     tool=cfg.name,
                     spin=cfg.spin,
-                    events=legacy_best.events,
-                    fast_s=fast_best.duration_s,
-                    legacy_s=legacy_best.duration_s,
+                    events=best.events,
+                    fast_s=best.duration_s,
                     bare_s=bare_s,
-                    fast_words=fast_best.detector_words,
-                    legacy_words=legacy_best.detector_words,
-                    racy_contexts=fast_best.report.racy_contexts,
-                    reports_match=fast_best.report.fingerprint()
-                    == legacy_best.report.fingerprint(),
+                    words=best.detector_words,
+                    racy_contexts=best.report.racy_contexts,
+                    golden_match=(
+                        None if expected is None else expected == golden_entry(best)
+                    ),
                 )
             )
     return rows
+
+
+def _golden_counts(rows) -> Dict[str, int]:
+    return {
+        "mismatches": sum(1 for r in rows if r.golden_match is False),
+        "unpinned": sum(1 for r in rows if r.golden_match is None),
+    }
 
 
 def pipeline_summary(rows: Sequence[PipelineRow]) -> Dict[str, float]:
@@ -299,37 +275,17 @@ def pipeline_summary(rows: Sequence[PipelineRow]) -> Dict[str, float]:
     Analysis seconds are summed *before* dividing so timer noise on tiny
     workloads averages out instead of being clamped row by row.
     """
-    if not rows:
-        return {
-            "events": 0,
-            "fast_analysis_s": 0.0,
-            "legacy_analysis_s": 0.0,
-            "fast_events_per_s": 0.0,
-            "legacy_events_per_s": 0.0,
-            "speedup": float("nan"),
-            "wall_speedup": float("nan"),
-            "fast_words": 0,
-            "legacy_words": 0,
-            "mismatches": 0,
-        }
     events = sum(r.events for r in rows)
     fast_s = sum(r.fast_s for r in rows)
-    legacy_s = sum(r.legacy_s for r in rows)
     bare_s = sum(r.bare_s for r in rows)
-    floor = PipelineRow._FLOOR
-    fast_an = max(fast_s - bare_s, fast_s * floor, 1e-9)
-    legacy_an = max(legacy_s - bare_s, legacy_s * floor, 1e-9)
+    analysis_s = max(fast_s - bare_s, fast_s * PipelineRow._FLOOR, 1e-9)
     return {
         "events": events,
-        "fast_analysis_s": fast_an,
-        "legacy_analysis_s": legacy_an,
-        "fast_events_per_s": events / fast_an,
-        "legacy_events_per_s": events / legacy_an,
-        "speedup": legacy_an / fast_an,
-        "wall_speedup": legacy_s / fast_s if fast_s > 0 else float("nan"),
-        "fast_words": sum(r.fast_words for r in rows),
-        "legacy_words": sum(r.legacy_words for r in rows),
-        "mismatches": sum(1 for r in rows if not r.reports_match),
+        "fast_s": fast_s,
+        "analysis_s": analysis_s,
+        "events_per_s": events / analysis_s if rows else 0.0,
+        "words": sum(r.words for r in rows),
+        **_golden_counts(rows),
     }
 
 
@@ -351,21 +307,16 @@ def write_pipeline_bench(
             "spin": r.spin,
             "events": r.events,
             "fast_s": round(r.fast_s, 6),
-            "legacy_s": round(r.legacy_s, 6),
             "bare_s": round(r.bare_s, 6),
-            "fast_events_per_s": round(r.fast_events_per_s, 1),
-            "legacy_events_per_s": round(r.legacy_events_per_s, 1),
-            "speedup": round(r.speedup, 3),
-            "wall_speedup": round(r.wall_speedup, 3),
-            "fast_words": r.fast_words,
-            "legacy_words": r.legacy_words,
+            "events_per_s": round(r.events_per_s, 1),
+            "words": r.words,
             "racy_contexts": r.racy_contexts,
-            "reports_match": r.reports_match,
+            "golden_match": r.golden_match,
         }
 
     return write_bench(
         path,
-        "F3 — analysis-pipeline throughput (fast vs legacy)",
+        "F3 — analysis-pipeline throughput",
         groups,
         pipeline_summary,
         row,
@@ -379,20 +330,12 @@ def load_pipeline_baseline(path: Union[str, Path]) -> Optional[Dict[str, object]
 
 
 # ---------------------------------------------------------------------------
-# F4 — interpreter throughput (pre-decoded threaded code vs isinstance
-# dispatch)
+# F4 — interpreter throughput (pre-decoded threaded code, no detector)
 
 
 @dataclass(frozen=True)
 class InterpRow:
-    """One workload measured under both interpreters, no detector.
-
-    ``decoded`` is the shipping pre-decoded threaded-code interpreter
-    (:mod:`repro.vm.decode`); ``legacy`` is the per-step ``isinstance``
-    dispatcher (``predecode=False``).  Both execute the identical
-    schedule — same scheduler decisions, same step count, same final
-    machine state — so steps / wall-clock is a pure dispatch-cost
-    comparison, the interpreter-side analogue of F3's pipeline figure.
+    """One workload run bare (no detector) on the threaded-code VM.
 
     ``decode_s`` is the one-time translation cost measured on a *cold*
     decode cache; it is reported separately and not charged to
@@ -402,90 +345,72 @@ class InterpRow:
     """
 
     workload: str
-    #: VM steps executed (identical under both interpreters by design)
+    #: VM steps executed
     steps: int
-    #: min wall-clock over the repeats, pre-decoded interpreter
+    #: min wall-clock over the repeats
     decoded_s: float
-    #: min wall-clock over the repeats, isinstance dispatcher
-    legacy_s: float
     #: one-time decode (translation) cost, cold cache
     decode_s: float
-    #: step count, halt status, outputs, and final memory snapshot all
-    #: byte-identical between the two interpreters
-    states_match: bool
+    #: status and step count equal the golden table's entry (``None``:
+    #: the table pins no such run)
+    golden_match: Optional[bool]
 
     @property
-    def decoded_steps_per_s(self) -> float:
+    def steps_per_s(self) -> float:
         return self.steps / self.decoded_s if self.decoded_s > 0 else 0.0
 
-    @property
-    def legacy_steps_per_s(self) -> float:
-        return self.steps / self.legacy_s if self.legacy_s > 0 else 0.0
 
-    @property
-    def speedup(self) -> float:
-        """Interpreter speedup: legacy wall-clock over decoded wall-clock."""
-        return self.legacy_s / self.decoded_s if self.decoded_s > 0 else float("nan")
-
-
-def _interp_run(wl: Workload, seed: int, predecode: bool):
-    """One bare run; returns (wall_s, decode_s, state fingerprint)."""
-    import hashlib
+def _interp_run(wl: Workload, seed: int):
+    """One bare run; returns (wall_s, decode_s, status, steps)."""
     import time
 
     from repro.vm import Machine, RandomScheduler
 
-    program = wl.fresh_program()
     machine = Machine(
-        program,
-        scheduler=RandomScheduler(seed),
-        max_steps=wl.max_steps,
-        predecode=predecode,
+        wl.fresh_program(), scheduler=RandomScheduler(seed), max_steps=wl.max_steps
     )
     start = time.perf_counter()
     result = machine.run()
     wall = time.perf_counter() - start
-    mem = hashlib.sha256(
-        repr(sorted(machine.memory.snapshot().items())).encode()
-    ).hexdigest()
-    state = (result.status, machine.step_count, tuple(machine.outputs), mem)
-    return wall, machine.decode_s, state
+    return wall, machine.decode_s, result.status, machine.step_count
 
 
 def measure_interpreter(
     workloads: Sequence[Workload],
-    seed: int = 7,
+    seed: Optional[int] = None,
     repeats: int = 3,
 ) -> List[InterpRow]:
-    """Measure decoded-vs-legacy interpreter throughput over workloads.
+    """Measure interpreter throughput (steps/s) over bare PARSEC runs.
 
-    Each workload runs ``repeats`` times under each interpreter with the
-    minimum wall-clock kept; the final machine states are checked for
-    identity — a dispatch optimization that changed execution would make
-    the number meaningless.  The first decoded run per workload starts
-    from a cold decode cache so ``decode_s`` reflects the real one-time
+    Each workload runs ``repeats`` times at ``seed`` (default: its pinned
+    seed) with the minimum wall-clock kept; status and step count are
+    checked against the golden table's ``parsec`` entry (steps do not
+    depend on the preset).  The first run per workload starts from a
+    cold decode cache so ``decode_s`` reflects the real one-time
     translation cost.
     """
+    from repro.harness.golden import golden_key, load_golden
     from repro.vm.decode import clear_decode_cache
 
+    golden = load_golden()
     rows: List[InterpRow] = []
     for wl in workloads:
+        run_seed = wl.seed if seed is None else seed
         clear_decode_cache()
-        decoded = [_interp_run(wl, seed, True) for _ in range(repeats)]
-        legacy = [_interp_run(wl, seed, False) for _ in range(repeats)]
-        decoded_s = min(w for w, _, _ in decoded)
-        legacy_s = min(w for w, _, _ in legacy)
-        decode_s = decoded[0][1]  # cold-cache translation cost
-        states = {s for _, _, s in decoded} | {s for _, _, s in legacy}
-        steps = decoded[0][2][1]
+        runs = [_interp_run(wl, run_seed) for _ in range(repeats)]
+        _, decode_s, status, steps = runs[0]  # cold-cache translation cost
+        expected = golden.get(golden_key("parsec", wl.name, "helgrind-lib", run_seed))
         rows.append(
             InterpRow(
                 workload=wl.name,
                 steps=steps,
-                decoded_s=decoded_s,
-                legacy_s=legacy_s,
+                decoded_s=min(r[0] for r in runs),
                 decode_s=decode_s,
-                states_match=len(states) == 1,
+                golden_match=(
+                    None
+                    if expected is None
+                    else (expected["status"], expected["steps"]) == (status, steps)
+                ),
             )
         )
     return rows
@@ -495,32 +420,16 @@ def interpreter_summary(rows: Sequence[InterpRow]) -> Dict[str, float]:
     """Aggregate throughput (sum steps / sum seconds) over a row set.
 
     Seconds are summed before dividing so timer noise on tiny workloads
-    averages out; the aggregate speedup is what the ≥2x acceptance gate
-    reads.
+    averages out.
     """
-    if not rows:
-        return {
-            "steps": 0,
-            "decoded_s": 0.0,
-            "legacy_s": 0.0,
-            "decode_s": 0.0,
-            "decoded_steps_per_s": 0.0,
-            "legacy_steps_per_s": 0.0,
-            "speedup": float("nan"),
-            "mismatches": 0,
-        }
     steps = sum(r.steps for r in rows)
     decoded_s = sum(r.decoded_s for r in rows)
-    legacy_s = sum(r.legacy_s for r in rows)
     return {
         "steps": steps,
         "decoded_s": decoded_s,
-        "legacy_s": legacy_s,
         "decode_s": sum(r.decode_s for r in rows),
-        "decoded_steps_per_s": steps / decoded_s if decoded_s > 0 else 0.0,
-        "legacy_steps_per_s": steps / legacy_s if legacy_s > 0 else 0.0,
-        "speedup": legacy_s / decoded_s if decoded_s > 0 else float("nan"),
-        "mismatches": sum(1 for r in rows if not r.states_match),
+        "steps_per_s": steps / decoded_s if decoded_s > 0 else 0.0,
+        **_golden_counts(rows),
     }
 
 
@@ -539,17 +448,14 @@ def write_interpreter_bench(
             "workload": r.workload,
             "steps": r.steps,
             "decoded_s": round(r.decoded_s, 6),
-            "legacy_s": round(r.legacy_s, 6),
             "decode_s": round(r.decode_s, 6),
-            "decoded_steps_per_s": round(r.decoded_steps_per_s, 1),
-            "legacy_steps_per_s": round(r.legacy_steps_per_s, 1),
-            "speedup": round(r.speedup, 3),
-            "states_match": r.states_match,
+            "steps_per_s": round(r.steps_per_s, 1),
+            "golden_match": r.golden_match,
         }
 
     return write_bench(
         path,
-        "F4 — interpreter throughput (pre-decoded vs isinstance)",
+        "F4 — interpreter throughput (pre-decoded threaded code)",
         groups,
         interpreter_summary,
         row,

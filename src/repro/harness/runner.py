@@ -54,8 +54,7 @@ class RunOutcome:
     #: lock-site inference), seconds; 0 when neither feature is on
     instrument_s: float = 0.0
     #: wall-clock of the threaded-code decode pass, seconds; near zero on
-    #: a decode-cache hit and exactly zero with ``predecoded=False``.
-    #: One-time translation, like ``instrument_s`` — not charged to
+    #: a decode-cache hit.  One-time translation, like ``instrument_s`` — not charged to
     #: ``duration_s``
     decode_s: float = 0.0
     #: fault plan the run executed under (chaos runs only)
@@ -144,7 +143,6 @@ def run_workload(
         max_steps=max_steps or workload.max_steps,
         faults=fault_plan,
         livelock_bound=livelock_bound,
-        predecode=config.predecoded,
     )
     # Symbolization is wired by Machine construction (detector.on_attach).
     if machine_sink is not None:
@@ -323,22 +321,17 @@ def run_workload_offline_streaming(
     )
 
 
-def run_bare(
-    workload: Workload, seed: Optional[int] = None, predecode: bool = True
-) -> float:
+def run_bare(workload: Workload, seed: Optional[int] = None) -> float:
     """Run the workload with *no* detector attached; returns seconds.
 
     The baseline for the paper's runtime-overhead figure (native execution
     under plain Valgrind corresponds to our VM without a listener).
-    ``predecode=False`` selects the legacy isinstance dispatcher — the
-    comparison the F4 interpreter-throughput figure draws.
     """
     program = workload.fresh_program()
     machine = Machine(
         program,
         scheduler=RandomScheduler(seed if seed is not None else workload.seed),
         max_steps=workload.max_steps,
-        predecode=predecode,
     )
     start = time.perf_counter()
     machine.run()

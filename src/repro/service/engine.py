@@ -502,6 +502,9 @@ class Engine:
             canonical = self._canonical(resp)
             self.journal.done(cell.key, canonical)
             self.completed[cell.key] = canonical
+            # Served from the index from now on: the spooled payload
+            # (trace uploads) is no longer needed.
+            self.journal.drop_upload(cell.key)
         self.inflight.pop(cell.key, None)
         for fut in cell.futures:
             if not fut.done():

@@ -18,7 +18,11 @@ re-run on restart (the drain).
 
 Trace uploads are spooled to ``uploads/<key>.trc`` (the shared atomic
 write: fsync, rename) *before* their ``accepted`` line — the journal
-stores only the key, the payload survives next to it.
+stores only the key, the payload survives next to it.  A spooled upload
+lives exactly as long as its request is pending: the daemon drops it
+once ``done`` is journaled (:meth:`RequestJournal.drop_upload`), and
+:meth:`RequestJournal.load` removes every spool file whose key is not
+pending plus any writer temp whose process is gone.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from repro.durable import Journal, atomic_write, temp_path
+from repro.durable import Journal, atomic_write, reclaim_temps, temp_path
 from repro.service.schema import SCHEMA_VERSION
 
 __all__ = ["RequestJournal"]
@@ -58,7 +62,8 @@ class RequestJournal:
         ``pending`` maps content key → the original request object for
         every ``accepted`` without a matching ``done`` (in insertion
         order — the restart drain re-runs them oldest first);
-        ``completed`` maps key → the journaled response.
+        ``completed`` maps key → the journaled response.  Spool files
+        that no pending request needs are deleted here.
         """
         pending: Dict[str, dict] = {}
         completed: Dict[str, dict] = {}
@@ -75,6 +80,11 @@ class RequestJournal:
             return True
 
         self._log.load(fold)
+        if self.uploads.exists():
+            for path in self.uploads.glob("*.trc"):
+                if path.stem not in pending:
+                    path.unlink(missing_ok=True)
+            reclaim_temps(self.uploads)
         return pending, completed
 
     def accepted(self, key: str, request: dict) -> None:
@@ -99,17 +109,20 @@ class RequestJournal:
             atomic_write(temp_path(dest), dest, payload)
         return dest
 
+    def drop_upload(self, key: str) -> None:
+        """Delete the spooled payload of a completed request, if any."""
+        (self.uploads / f"{key}.trc").unlink(missing_ok=True)
+
     def upload_path(self, key: str) -> Optional[Path]:
         path = self.uploads / f"{key}.trc"
         return path if path.exists() else None
 
     def spool_bytes(self) -> int:
-        """Total bytes in the upload spool (disk-pressure metering)."""
+        """Total bytes in the upload spool, writer temps included
+        (disk-pressure metering)."""
         if not self.uploads.exists():
             return 0
-        return sum(
-            p.stat().st_size for p in self.uploads.glob("*.trc") if p.is_file()
-        )
+        return sum(p.stat().st_size for p in self.uploads.iterdir() if p.is_file())
 
     def close(self) -> None:
         self._log.close()

@@ -87,7 +87,7 @@ class SessionResult:
     #: wall-clock of the instrumentation phase, seconds
     instrument_s: float = 0.0
     #: wall-clock of the threaded-code decode pass, seconds (near zero on
-    #: a decode-cache hit; zero under ``predecoded=False``)
+    #: a decode-cache hit)
     decode_s: float = 0.0
     #: wall-clock of machine + detector, seconds
     run_s: float = 0.0
@@ -326,7 +326,6 @@ def run(
         max_steps=max_steps,
         faults=faults,
         livelock_bound=livelock_bound,
-        predecode=tool.predecoded,
     )
     start = time.perf_counter()
     result = machine.run()

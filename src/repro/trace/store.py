@@ -23,7 +23,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.durable import Corruption, FramedStore
+from repro.durable import Corruption, FramedStore, reclaim_temps
 from repro.trace.stream import TraceStream, read_meta_line
 from repro.trace.trace import Trace, _decode_event, _encode_event, _loc_parse, _loc_str
 
@@ -264,7 +264,7 @@ class TraceStore(FramedStore):
             else:
                 kept += 1
         purged = self._purge_corrupt() if purge_corrupt else 0
-        self._reclaim_temps()
+        reclaim_temps(self.root)
         return {"removed": removed, "purged": purged, "kept": kept}
 
 

@@ -246,12 +246,11 @@ def analyze_trace_streaming(
     """Run a tool configuration over a stored trace in bounded memory.
 
     Delivers events straight off the decoder without ever materializing
-    the recording: batch-capable configurations get chunks of at most
-    ``chunk_events`` filtered events per ``consume_batch`` call (chunk
-    boundaries are invisible to the three-way seq merge — every seq in
-    chunk *n* precedes every seq in chunk *n+1*); other configurations
-    get per-event delivery.  Filtering mirrors the in-memory path
-    exactly (``_filtered_batches`` / ``_deliver_events``), and the
+    the recording: the detector gets chunks of at most ``chunk_events``
+    filtered events per ``consume_batch`` call (chunk boundaries are
+    invisible to the three-way seq merge — every seq in chunk *n*
+    precedes every seq in chunk *n+1*).  Filtering mirrors the in-memory
+    path exactly (``_filtered_batches``), and the
     report is finalized from the recording's termination status, so
     ``report.fingerprint()`` is bit-identical to
     :func:`repro.trace.analyze_trace` on the same entry — partial and
@@ -271,62 +270,52 @@ def analyze_trace_streaming(
     faults = 0
 
     t0 = time.perf_counter()
-    if detector.batch_capable:
-        skip_lib = config.intercept_lib
-        spin = config.spin
-        reads: list = []
-        writes: list = []
-        ctrl: list = []
-        buffered = 0
-        consume = detector.consume_batch
-        for seq, e in stream.events():
-            te = type(e)
-            if te is ev.MemRead:
-                if skip_lib and e.in_library:
-                    continue
-                reads.append(
-                    (seq, e.tid, e.addr, e.value, e.loc, e.atomic, e.in_library)
-                )
-            elif te is ev.MemWrite:
-                if skip_lib and e.in_library:
-                    continue
-                writes.append(
-                    (seq, e.tid, e.addr, e.value, e.loc, e.atomic, e.in_library)
-                )
-            elif isinstance(e, _MARKED):
-                if not spin or (skip_lib and e.in_library) or e.loop_id in wide:
-                    continue
-                ctrl.append((seq, e))
-            elif isinstance(e, _LIB_ANNOT):
-                if not skip_lib or e.in_library:
-                    continue
-                ctrl.append((seq, e))
-            elif isinstance(e, _THREAD_SYNC):
-                ctrl.append((seq, e))
-            else:
-                # Bookkeeping events are detector no-ops in batch mode;
-                # fold them into the synthesized machine result instead.
-                if te is ev.PrintEvent:
-                    outputs.append((e.tid, e.value))
-                elif isinstance(e, ev.FaultEvent):
-                    faults += 1
+    skip_lib = config.intercept_lib
+    spin = config.spin
+    reads: list = []
+    writes: list = []
+    ctrl: list = []
+    buffered = 0
+    consume = detector.consume_batch
+    for seq, e in stream.events():
+        te = type(e)
+        if te is ev.MemRead:
+            if skip_lib and e.in_library:
                 continue
-            buffered += 1
-            if buffered >= chunk_events:
-                consume(reads, writes, ctrl)
-                reads, writes, ctrl = [], [], []
-                buffered = 0
-        if buffered:
-            consume(reads, writes, ctrl)
-    else:
-        for _seq, e in stream.events():
-            if type(e) is ev.PrintEvent:
+            reads.append(
+                (seq, e.tid, e.addr, e.value, e.loc, e.atomic, e.in_library)
+            )
+        elif te is ev.MemWrite:
+            if skip_lib and e.in_library:
+                continue
+            writes.append(
+                (seq, e.tid, e.addr, e.value, e.loc, e.atomic, e.in_library)
+            )
+        elif isinstance(e, _MARKED):
+            if not spin or (skip_lib and e.in_library) or e.loop_id in wide:
+                continue
+            ctrl.append((seq, e))
+        elif isinstance(e, _LIB_ANNOT):
+            if not skip_lib or e.in_library:
+                continue
+            ctrl.append((seq, e))
+        elif isinstance(e, _THREAD_SYNC):
+            ctrl.append((seq, e))
+        else:
+            # Bookkeeping events are detector no-ops; fold them into
+            # the synthesized machine result instead.
+            if te is ev.PrintEvent:
                 outputs.append((e.tid, e.value))
             elif isinstance(e, ev.FaultEvent):
                 faults += 1
-            if wide and isinstance(e, _MARKED) and e.loop_id in wide:
-                continue  # loop too wide for this spin window
-            detector(e)
+            continue
+        buffered += 1
+        if buffered >= chunk_events:
+            consume(reads, writes, ctrl)
+            reads, writes, ctrl = [], [], []
+            buffered = 0
+    if buffered:
+        consume(reads, writes, ctrl)
 
     status = stream.status
     report = detector.finalize(partial=status != "ok")

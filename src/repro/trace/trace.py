@@ -212,25 +212,11 @@ def _build_detector(trace: Trace, config: ToolConfig) -> RaceDetector:
 def _wide_loops(trace: Trace, config: ToolConfig) -> FrozenSet[int]:
     """Loop ids wider than the config's spin window (empty when spin is
     off: the window is an ad-hoc-engine concept, and without one every
-    marked event is a detector no-op anyway — per-event delivery passes
-    them through untouched, batched delivery drops them up front)."""
+    marked event is a detector no-op that delivery drops up front)."""
     if not config.spin:
         return frozenset()
     k = config.spin_max_blocks
     return frozenset(i for i, size in trace.loop_sizes.items() if size > k)
-
-
-def _deliver_events(trace: Trace, detector: RaceDetector, config: ToolConfig) -> None:
-    """Per-event delivery, mirroring the VM's unbatched listener path."""
-    wide = _wide_loops(trace, config)
-    if wide:
-        for event in trace.events:
-            if isinstance(event, _MARKED) and event.loop_id in wide:
-                continue  # loop too wide for this spin window
-            detector(event)
-    else:
-        for event in trace.events:
-            detector(event)
 
 
 _LIB_ANNOT = (ev.LibEnter, ev.LibExit)
@@ -313,7 +299,7 @@ def replay_trace(trace: Trace, config: ToolConfig) -> RaceDetector:
     """
     _validate_replay(trace, config)
     detector = _build_detector(trace, config)
-    _deliver_events(trace, detector, config)
+    _deliver_batched(trace, detector, config)
     return detector
 
 
@@ -335,8 +321,8 @@ def analyze_trace(trace: Trace, config) -> TraceAnalysis:
     """Run a tool configuration over a stored trace with no VM in the loop.
 
     The offline twin of :func:`repro.harness.runner.run_workload`:
-    events route through the batched ``consume_batch`` fast path when
-    the config opts in, and the detector is finalized from
+    events route through the batched ``consume_batch`` delivery, and the
+    detector is finalized from
     ``trace.status`` (``partial=True`` for deadlock / livelock /
     truncated recordings), so the resulting ``report.fingerprint()`` is
     bit-identical to the live run's.  ``config`` may be a
@@ -348,10 +334,7 @@ def analyze_trace(trace: Trace, config) -> TraceAnalysis:
     _validate_replay(trace, config)
     detector = _build_detector(trace, config)
     t0 = time.perf_counter()
-    if detector.batch_capable:
-        _deliver_batched(trace, detector, config)
-    else:
-        _deliver_events(trace, detector, config)
+    _deliver_batched(trace, detector, config)
     report = detector.finalize(partial=trace.status != "ok")
     duration = time.perf_counter() - t0
     return TraceAnalysis(

@@ -33,9 +33,9 @@ class Frame:
     sync_obj: Optional[int] = None
     #: second annotated object (the mutex of a ``cv_wait``)
     sync_obj2: Optional[int] = None
-    #: this frame's current :class:`~repro.vm.decode.DecodedBlock` when
-    #: the machine runs pre-decoded threaded code (``None`` on the legacy
-    #: dispatch path); branch handlers re-point it on block transfers
+    #: this frame's current :class:`~repro.vm.decode.DecodedBlock` (set
+    #: by the machine on frame creation); branch handlers re-point it on
+    #: block transfers
     code: Optional[object] = None
     #: raw predicate forwarded from a ``Cmp`` to a fused ``Br`` in the
     #: same block (decode-time Cmp→Br fusion); meaningless otherwise

@@ -5,13 +5,16 @@ call to :meth:`Machine.step` asks the scheduler for a runnable thread and
 executes exactly one instruction of it, emitting events to the listener.
 This per-instruction interleaving is the precision level at which real
 races manifest (e.g. a non-atomic ``counter++`` is three instructions and
-can be preempted between them).
+can be preempted between them).  Instructions execute as pre-decoded
+threaded code (:mod:`repro.vm.decode`): each frame carries its block's
+handler array, and a step calls one handler.
 
 If an *instrumentation map* (produced by the paper's instrumentation
 phase, :mod:`repro.analysis.instrument`) is supplied, the machine also
 emits ``MarkedLoopEnter`` / ``MarkedCondRead`` / ``MarkedLoopExit``
 events at the marked program points — the hooks the runtime phase of the
-ad-hoc synchronization detector consumes.
+ad-hoc synchronization detector consumes.  The decoder bakes the marker
+tables into the handlers.
 
 Batched delivery
 ----------------
@@ -23,11 +26,12 @@ per event: memory accesses become plain tuples
 ``(seq, tid, addr, value, loc, atomic, in_library)`` and the rare
 control/sync events ride in a ``(seq, Event)`` buffer.  ``seq`` is the
 global event counter, so the consumer can merge the buffers back into
-the exact per-event order of the unbatched path.  Buffers are flushed at
+the exact order the events were emitted in.  Buffers are flushed at
 sync points (library-call annotations), marked-loop exits, at a size cap
 checked at scheduler-switch boundaries (between steps), and at the end
 of the run.  Batching is active only inside :meth:`Machine.run`; driving
-:meth:`Machine.step` directly delivers per-event as before.  If the
+:meth:`Machine.step` directly, or a plain callable listener (such as
+``events.append`` when recording a trace), gets one call per event.  If the
 listener also sets ``skip_in_library_traffic``, library-internal memory
 and marker events (which such a listener drops unconditionally) are not
 buffered — or counted — at all.
@@ -39,7 +43,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.isa import instructions as ins
 from repro.isa.program import CodeLocation, Function, Program, SyncKind
 from repro.vm import events as ev
 from repro.vm.decode import get_decoded_program
@@ -127,7 +130,6 @@ class Machine:
         faults: Optional[FaultPlan] = None,
         livelock_bound: Optional[int] = None,
         batch_size: int = 4096,
-        predecode: bool = True,
     ) -> None:
         self.program = program
         self.scheduler = scheduler or RandomScheduler()
@@ -181,31 +183,24 @@ class Machine:
             addr = FUNC_BASE + i
             self._func_addrs[name] = addr
             self._addr_funcs[addr] = name
-        # Instrumentation lookup tables (empty when uninstrumented).
-        self._cond_loads: Dict[CodeLocation, int] = {}
-        self._exit_edges: Dict[Tuple[CodeLocation, str], int] = {}
-        self._loop_headers: Dict[Tuple[str, str], int] = {}
+        # Marked-loop names for livelock reports (empty when uninstrumented).
+        self._loop_names: Dict[int, str] = {}
         if instrumentation is not None:
-            self._cond_loads = dict(instrumentation.cond_loads)
-            self._exit_edges = dict(instrumentation.exit_edges)
-            self._loop_headers = dict(instrumentation.loop_headers)
-        self._loop_names: Dict[int, str] = {
-            lid: f"{func}:{header}" for (func, header), lid in self._loop_headers.items()
-        }
+            self._loop_names = {
+                lid: f"{func}:{header}"
+                for (func, header), lid in instrumentation.loop_headers.items()
+            }
         # Pre-decoded threaded code (see :mod:`repro.vm.decode`): resolved
         # before the entry thread spawns so every frame carries its
         # DecodedBlock.  ``decode_s`` is the one-time translation cost
         # (near zero on a decode-cache hit) so the harness can keep it out
         # of measured run time.  The watchdog-armed flag is baked into the
         # decoded handlers, hence part of the cache key.
-        self._dcode = None
-        self.decode_s = 0.0
-        if predecode:
-            t0 = time.perf_counter()
-            self._dcode = get_decoded_program(
-                program, instrumentation, livelock_bound is not None
-            )
-            self.decode_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        self._dcode = get_decoded_program(
+            program, instrumentation, livelock_bound is not None
+        )
+        self.decode_s = time.perf_counter() - t0
         self._spawn_thread(program.entry, (), parent=None)
         # Let the listener wire itself to this machine (e.g. the race
         # detector picks up the symbol table for address symbolization).
@@ -227,8 +222,7 @@ class Machine:
         tid = self._next_tid
         self._next_tid += 1
         frame = Frame(function=func, block=func.entry, regs=dict(zip(func.params, args)))
-        if self._dcode is not None:
-            frame.code = self._dcode.entries[func_name]
+        frame.code = self._dcode.entries[func_name]
         thread = ThreadState(tid=tid, frames=[frame])
         if func.is_library:
             thread.lib_depth = 1
@@ -347,9 +341,7 @@ class Machine:
         threads = self.threads
         threads_values = threads.values()
         scheduler_pick = self.scheduler.pick
-        step = self.step
         runnable_status = ThreadStatus.RUNNABLE
-        dcode = self._dcode
         skip_lib = self._skip_lib
         while not self._halted:
             if injector is not None:
@@ -376,36 +368,30 @@ class Machine:
             if injector is not None:
                 runnable = injector.filter_runnable(self, runnable)
             tid = scheduler_pick(runnable)
-            if dcode is None:
-                step(tid)
-            else:
-                # Inlined decoded step: identical to the decoded branch
-                # of :meth:`step`, minus one method call per instruction.
-                thread = threads[tid]
-                if thread.status is not runnable_status:
-                    raise MachineError(f"thread {tid} not runnable")
-                if not thread.started:
-                    thread.started = True
-                    self._emit(ev.ThreadStartEvent(self.step_count, tid))
-                frame = thread.frames[-1]
-                code = frame.code
-                index = frame.index
-                if index == 0:
-                    loop_id = code.loop_id
-                    if loop_id is not None and not (
-                        skip_lib and thread.lib_depth > 0
-                    ):
-                        self._emit(
-                            ev.MarkedLoopEnter(
-                                self.step_count,
-                                tid,
-                                loop_id,
-                                code.entry_loc,
-                                thread.lib_depth > 0,
-                            )
+            # Inlined :meth:`step`, minus one method call per instruction.
+            thread = threads[tid]
+            if thread.status is not runnable_status:
+                raise MachineError(f"thread {tid} not runnable")
+            if not thread.started:
+                thread.started = True
+                self._emit(ev.ThreadStartEvent(self.step_count, tid))
+            frame = thread.frames[-1]
+            code = frame.code
+            index = frame.index
+            if index == 0:
+                loop_id = code.loop_id
+                if loop_id is not None and not (skip_lib and thread.lib_depth > 0):
+                    self._emit(
+                        ev.MarkedLoopEnter(
+                            self.step_count,
+                            tid,
+                            loop_id,
+                            code.entry_loc,
+                            thread.lib_depth > 0,
                         )
-                self.step_count += 1
-                code.handlers[index](self, thread, frame)
+                    )
+            self.step_count += 1
+            code.handlers[index](self, thread, frame)
             # Size cap, checked at the scheduler-switch boundary.
             if self._pending >= batch_size:
                 self.flush_events()
@@ -481,76 +467,26 @@ class Machine:
             thread.started = True
             self._emit(ev.ThreadStartEvent(self.step_count, tid))
         frame = thread.frames[-1]
+        # Threaded code: the frame's DecodedBlock holds the handler array,
+        # the loop-header marker, and the entry location.
         code = frame.code
-        if code is not None:
-            # Threaded-code path: the frame's DecodedBlock already holds
-            # the handler array, the loop-header marker, and the entry
-            # location — no dict probes, no CodeLocation allocation, no
-            # isinstance chain.
-            index = frame.index
-            if index == 0:
-                loop_id = code.loop_id
-                if loop_id is not None and not (
-                    self._skip_lib and thread.lib_depth > 0
-                ):
-                    self._emit(
-                        ev.MarkedLoopEnter(
-                            self.step_count,
-                            tid,
-                            loop_id,
-                            code.entry_loc,
-                            thread.lib_depth > 0,
-                        )
-                    )
-            self.step_count += 1
-            code.handlers[index](self, thread, frame)
-            return
-        if frame.index == 0 and self._loop_headers:
-            loop_id = self._loop_headers.get((frame.function.name, frame.block))
-            if loop_id is not None and not (self._skip_lib and thread.in_library):
+        index = frame.index
+        if index == 0:
+            loop_id = code.loop_id
+            if loop_id is not None and not (self._skip_lib and thread.lib_depth > 0):
                 self._emit(
                     ev.MarkedLoopEnter(
                         self.step_count,
                         tid,
                         loop_id,
-                        CodeLocation(frame.function.name, frame.block, 0),
-                        thread.in_library,
+                        code.entry_loc,
+                        thread.lib_depth > 0,
                     )
                 )
-        block = frame.function.blocks[frame.block]
-        instr = block.instructions[frame.index]
-        loc = CodeLocation(frame.function.name, frame.block, frame.index)
         self.step_count += 1
-        self._execute(thread, frame, instr, loc)
+        code.handlers[index](self, thread, frame)
 
     # -- helpers ---------------------------------------------------------
-
-    def _get(self, frame: Frame, reg: str, loc: CodeLocation) -> int:
-        try:
-            return frame.regs[reg]
-        except KeyError:
-            raise MachineError(f"{loc}: read of undefined register {reg!r}") from None
-
-    def _advance(self, frame: Frame) -> None:
-        frame.index += 1
-
-    def _goto(self, thread: ThreadState, frame: Frame, target: str, loc: CodeLocation) -> None:
-        if self._exit_edges:
-            loop_id = self._exit_edges.get((loc, target))
-            if loop_id is not None:
-                if not (self._skip_lib and thread.in_library):
-                    self._emit(
-                        ev.MarkedLoopExit(
-                            self.step_count, thread.tid, loop_id, loc, thread.in_library
-                        )
-                    )
-                    # Marked-loop boundary: a sync-relevant point — flush
-                    # so the ad-hoc engine sees the exit promptly.
-                    self.flush_events()
-                # The loop made progress: reset its watchdog counter.
-                self._spin_counts.pop((thread.tid, loop_id), None)
-        frame.block = target
-        frame.index = 0
 
     def _note_cond_read(
         self, tid: int, loop_id: int, addr: int, value: int, loc: CodeLocation
@@ -591,8 +527,7 @@ class Machine:
             regs=dict(zip(func.params, args)),
             ret_dst=ret_dst,
         )
-        if self._dcode is not None:
-            frame.code = self._dcode.entries[func.name]
+        frame.code = self._dcode.entries[func.name]
         if func.annotation is not None:
             obj_addr = args[func.annotation.obj_arg]
             frame.sync_obj = obj_addr
@@ -650,211 +585,4 @@ class Machine:
                     f"{loc}: {func.name!r} returned no value but caller expects one"
                 )
             caller.regs[frame.ret_dst] = value
-        self._advance(caller)
-
-    # -- the dispatch ------------------------------------------------------
-
-    def _execute(
-        self, thread: ThreadState, frame: Frame, instr: ins.Instruction, loc: CodeLocation
-    ) -> None:
-        tid = thread.tid
-        regs = frame.regs
-        get = self._get
-
-        if isinstance(instr, ins.Const):
-            regs[instr.dst] = instr.value
-            self._advance(frame)
-        elif isinstance(instr, ins.Mov):
-            regs[instr.dst] = get(frame, instr.src, loc)
-            self._advance(frame)
-        elif isinstance(instr, ins.Alu):
-            a, b = get(frame, instr.a, loc), get(frame, instr.b, loc)
-            regs[instr.dst] = _ALU_FUNCS[instr.op](a, b, loc)
-            self._advance(frame)
-        elif isinstance(instr, ins.Cmp):
-            a, b = get(frame, instr.a, loc), get(frame, instr.b, loc)
-            regs[instr.dst] = 1 if _CMP_FUNCS[instr.op](a, b) else 0
-            self._advance(frame)
-        elif isinstance(instr, ins.Not):
-            regs[instr.dst] = 1 if get(frame, instr.src, loc) == 0 else 0
-            self._advance(frame)
-        elif isinstance(instr, ins.Load):
-            addr = get(frame, instr.addr, loc) + instr.offset
-            value = self.memory.load(addr)
-            regs[instr.dst] = value
-            in_lib = thread.in_library
-            if self._cond_loads:
-                loop_id = self._cond_loads.get(loc)
-                if loop_id is not None:
-                    if not (self._skip_lib and in_lib):
-                        self._emit(
-                            ev.MarkedCondRead(
-                                self.step_count,
-                                tid,
-                                loop_id,
-                                addr,
-                                value,
-                                loc,
-                                in_lib,
-                            )
-                        )
-                    # The livelock watchdog is machine-side state: it
-                    # counts spins regardless of event delivery.
-                    if self.livelock_bound is not None:
-                        self._note_cond_read(tid, loop_id, addr, value, loc)
-            self._emit_read(tid, addr, value, loc, False, in_lib)
-            self._advance(frame)
-        elif isinstance(instr, ins.Store):
-            addr = get(frame, instr.addr, loc) + instr.offset
-            value = get(frame, instr.src, loc)
-            intercepted = (
-                self._injector.intercept_store(
-                    self, tid, addr, value, loc, thread.in_library
-                )
-                if self._injector is not None
-                else None
-            )
-            if intercepted is None:
-                self.memory.store(addr, value)
-                self._emit_write(tid, addr, value, loc, False, thread.in_library)
-            self._advance(frame)
-        elif isinstance(instr, ins.AtomicCas):
-            addr = get(frame, instr.addr, loc) + instr.offset
-            expected = get(frame, instr.expected, loc)
-            new = get(frame, instr.new, loc)
-            old = self.memory.load(addr)
-            regs[instr.dst] = old
-            in_lib = thread.in_library
-            self._emit_read(tid, addr, old, loc, True, in_lib)
-            if old == expected:
-                self.memory.store(addr, new)
-                self._emit_write(tid, addr, new, loc, True, in_lib)
-            self._advance(frame)
-        elif isinstance(instr, ins.AtomicAdd):
-            addr = get(frame, instr.addr, loc) + instr.offset
-            amount = get(frame, instr.amount, loc)
-            old = self.memory.load(addr)
-            regs[instr.dst] = old
-            self.memory.store(addr, old + amount)
-            in_lib = thread.in_library
-            self._emit_read(tid, addr, old, loc, True, in_lib)
-            self._emit_write(tid, addr, old + amount, loc, True, in_lib)
-            self._advance(frame)
-        elif isinstance(instr, ins.AtomicXchg):
-            addr = get(frame, instr.addr, loc) + instr.offset
-            new = get(frame, instr.src, loc)
-            old = self.memory.load(addr)
-            regs[instr.dst] = old
-            self.memory.store(addr, new)
-            in_lib = thread.in_library
-            self._emit_read(tid, addr, old, loc, True, in_lib)
-            self._emit_write(tid, addr, new, loc, True, in_lib)
-            self._advance(frame)
-        elif isinstance(instr, ins.Fence):
-            self._advance(frame)
-        elif isinstance(instr, ins.Jmp):
-            self._goto(thread, frame, instr.target, loc)
-        elif isinstance(instr, ins.Br):
-            cond = get(frame, instr.cond, loc)
-            self._goto(thread, frame, instr.then if cond else instr.els, loc)
-        elif isinstance(instr, ins.Call):
-            func = self.program.functions.get(instr.func)
-            if func is None:
-                raise MachineError(f"{loc}: call to unknown function {instr.func!r}")
-            args = tuple(get(frame, a, loc) for a in instr.args)
-            self._enter_function(thread, func, args, instr.dst, loc)
-        elif isinstance(instr, ins.ICall):
-            target_addr = get(frame, instr.target, loc)
-            name = self._addr_funcs.get(target_addr)
-            if name is None:
-                raise MachineError(
-                    f"{loc}: indirect call to non-function address {hex(target_addr)}"
-                )
-            func = self.program.functions[name]
-            args = tuple(get(frame, a, loc) for a in instr.args)
-            self._enter_function(thread, func, args, instr.dst, loc)
-        elif isinstance(instr, ins.Ret):
-            value = get(frame, instr.src, loc) if instr.src else None
-            self._return(thread, value, loc)
-        elif isinstance(instr, ins.Halt):
-            self._halted = True
-            self._exit_thread(thread, None)
-        elif isinstance(instr, ins.Spawn):
-            args = tuple(get(frame, a, loc) for a in instr.args)
-            child = self._spawn_thread(instr.func, args, parent=tid)
-            regs[instr.dst] = child
-            self._emit(ev.ThreadSpawnEvent(self.step_count, tid, child, loc))
-            self._advance(frame)
-        elif isinstance(instr, ins.Join):
-            target = get(frame, instr.tid, loc)
-            if target not in self.threads:
-                raise MachineError(f"{loc}: join on unknown thread {target}")
-            if self.threads[target].status is ThreadStatus.EXITED:
-                self._emit(ev.ThreadJoinEvent(self.step_count, tid, target, loc))
-                self._advance(frame)
-            else:
-                # Re-execute the join once woken: do not advance yet.
-                thread.status = ThreadStatus.BLOCKED_JOIN
-                thread.join_target = target
-                self._runnable_dirty = True
-                self._waiters.setdefault(target, []).append(tid)
-        elif isinstance(instr, ins.Yield):
-            self.scheduler.on_yield(tid)
-            self._advance(frame)
-        elif isinstance(instr, ins.Alloc):
-            size = get(frame, instr.size, loc)
-            regs[instr.dst] = self.memory.alloc(size, loc)
-            self._advance(frame)
-        elif isinstance(instr, ins.Addr):
-            regs[instr.dst] = self.memory.global_base(instr.symbol)
-            self._advance(frame)
-        elif isinstance(instr, ins.FuncAddr):
-            try:
-                regs[instr.dst] = self._func_addrs[instr.func]
-            except KeyError:
-                raise MachineError(f"{loc}: unknown function {instr.func!r}") from None
-            self._advance(frame)
-        elif isinstance(instr, ins.Print):
-            value = get(frame, instr.src, loc)
-            self.outputs.append((tid, value))
-            self._emit(ev.PrintEvent(self.step_count, tid, value, loc))
-            self._advance(frame)
-        elif isinstance(instr, ins.Nop):
-            self._advance(frame)
-        else:  # pragma: no cover - exhaustiveness guard
-            raise MachineError(f"{loc}: unhandled instruction {instr!r}")
-
-
-def _div(a: int, b: int, loc: CodeLocation) -> int:
-    if b == 0:
-        raise MachineError(f"{loc}: division by zero")
-    return int(a / b) if (a < 0) != (b < 0) else a // b
-
-
-def _mod(a: int, b: int, loc: CodeLocation) -> int:
-    if b == 0:
-        raise MachineError(f"{loc}: modulo by zero")
-    return a - _div(a, b, loc) * b
-
-
-_ALU_FUNCS = {
-    ins.AluOp.ADD: lambda a, b, loc: a + b,
-    ins.AluOp.SUB: lambda a, b, loc: a - b,
-    ins.AluOp.MUL: lambda a, b, loc: a * b,
-    ins.AluOp.DIV: _div,
-    ins.AluOp.MOD: _mod,
-    ins.AluOp.AND: lambda a, b, loc: a & b,
-    ins.AluOp.OR: lambda a, b, loc: a | b,
-    ins.AluOp.XOR: lambda a, b, loc: a ^ b,
-    ins.AluOp.SHL: lambda a, b, loc: a << b,
-    ins.AluOp.SHR: lambda a, b, loc: a >> b,
-}
-
-_CMP_FUNCS = {
-    ins.CmpOp.EQ: lambda a, b: a == b,
-    ins.CmpOp.NE: lambda a, b: a != b,
-    ins.CmpOp.LT: lambda a, b: a < b,
-    ins.CmpOp.LE: lambda a, b: a <= b,
-    ins.CmpOp.GT: lambda a, b: a > b,
-    ins.CmpOp.GE: lambda a, b: a >= b,
-}
+        caller.index += 1

@@ -119,3 +119,31 @@ class TestPerf:
 
         s = overhead_summary([])
         assert math.isnan(s["memory"]) and math.isnan(s["runtime"])
+
+
+class TestGoldenPinnedThroughput:
+    """F3/F4 check every measured run against the golden table, and
+    still run (every row unpinned) where the table is absent, as in an
+    installed package."""
+
+    ARGS = ["--limit", "1", "--repeats", "1", "--out", ""]
+
+    def _run(self, capsys):
+        from repro.harness.cli import main
+
+        codes = [main(["f3", *self.ARGS]), main(["f4", *self.ARGS])]
+        return codes, capsys.readouterr().out
+
+    def test_rows_match_the_committed_table(self, capsys):
+        codes, out = self._run(capsys)
+        assert codes == [0, 0]
+        assert out.count("0 golden mismatch(es), 0 unpinned") == 3
+
+    def test_rows_are_unpinned_without_the_table(self, capsys, monkeypatch, tmp_path):
+        import repro.harness.golden as golden
+
+        monkeypatch.setattr(golden, "GOLDEN_PATH", tmp_path / "absent.json")
+        codes, out = self._run(capsys)
+        assert codes == [0, 0]
+        assert out.count("0 golden mismatch(es), 2 unpinned") == 2  # F3 groups
+        assert "0 golden mismatch(es), 1 unpinned" in out  # F4

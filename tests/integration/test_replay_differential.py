@@ -5,7 +5,9 @@ preset over the stored trace (:func:`repro.trace.analyze_trace`) yields
 a report whose *full fingerprint* is bit-identical to a live run of the
 same (program, seed, faults) cell under that preset — across the whole
 120-case suite, every named preset, and the chaos cases whose traces
-truncate partially (deadlock / livelock / fault-killed threads).
+truncate partially (deadlock / livelock / fault-killed threads).  The
+live side is the golden table (``tests/data/report_fingerprints.json``),
+which ``tests/test_golden_fingerprints.py`` re-derives from live runs.
 
 Also pinned here: the no-spin wide-loop regression (the replay filter
 must only apply under spin configurations), scheduler-spec recording,
@@ -14,12 +16,14 @@ session front door.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
 import repro
 from repro.detectors import ToolConfig
 from repro.harness.chaos import chaos_spec
+from repro.harness.golden import golden_key, load_golden
 from repro.harness.parallel import RunSpec, prewarm_traces, run_sweep, sweep_specs
 from repro.harness.registry import resolve_tool
 from repro.harness.runner import run_workload
@@ -43,6 +47,11 @@ PRESETS = [resolve_tool(name) for name in PRESET_NAMES]
 MAX_BLOCKS = max([8, *(c.spin_max_blocks for c in PRESETS)])
 
 _trace_memo = {}
+GOLDEN = load_golden()
+
+
+def _fingerprint_hex(report) -> str:
+    return hashlib.sha256(report.fingerprint().encode()).hexdigest()
 
 
 def _recorded(wl):
@@ -62,13 +71,17 @@ class TestSuiteDifferential:
         assert len({c.inline_depth for c in PRESETS}) == 1
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
-    def test_replay_fingerprint_equals_live_across_the_suite(self, preset):
+    def test_replay_fingerprint_matches_golden_across_the_suite(self, preset):
         cfg = resolve_tool(preset)
         mismatches = []
         for wl in SUITE:
-            live = run_workload(wl, cfg, seed=wl.seed)
-            replayed = analyze_trace(_recorded(wl), cfg)
-            if replayed.report.fingerprint() != live.report.fingerprint():
+            live = GOLDEN[golden_key("suite", wl.name, preset, wl.seed)]
+            trace = _recorded(wl)
+            replayed = analyze_trace(trace, cfg)
+            if (_fingerprint_hex(replayed.report), trace.status) != (
+                live["fingerprint"],
+                live["status"],
+            ):
                 mismatches.append(wl.name)
         assert not mismatches, f"{preset}: replay diverged on {mismatches}"
 
@@ -77,7 +90,7 @@ class TestChaosDifferential:
     """Partial traces: fault-truncated runs must replay faithfully."""
 
     @pytest.mark.parametrize("case", [c.name for c in chaos_cases()])
-    def test_chaos_replay_matches_live_for_every_preset(self, case):
+    def test_chaos_replay_matches_golden_for_every_preset(self, case):
         spec = chaos_spec(
             next(c for c in chaos_cases() if c.name == case),
             ToolConfig.helgrind_lib_spin(7),
@@ -92,19 +105,15 @@ class TestChaosDifferential:
             livelock_bound=spec.livelock_bound,
         )
         mismatches = []
-        for cfg in PRESETS:
-            live = run_workload(
-                wl,
-                cfg,
-                seed=spec.effective_seed(),
-                max_steps=spec.effective_max_steps(),
-                fault_plan=spec.fault_plan,
-                livelock_bound=spec.livelock_bound,
-            )
+        for preset, cfg in zip(PRESET_NAMES, PRESETS):
+            live = GOLDEN[golden_key("chaos", case, preset, spec.effective_seed())]
             replayed = analyze_trace(trace, cfg)
             assert replayed.report.partial == (trace.status != "ok")
-            if replayed.report.fingerprint() != live.report.fingerprint():
-                mismatches.append(cfg.name)
+            if (_fingerprint_hex(replayed.report), trace.status) != (
+                live["fingerprint"],
+                live["status"],
+            ):
+                mismatches.append(preset)
         assert not mismatches, f"{case}: replay diverged under {mismatches}"
 
     def test_chaos_suite_contains_partial_traces(self):

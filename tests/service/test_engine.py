@@ -9,6 +9,8 @@ degraded alike.
 
 import asyncio
 import base64
+import subprocess
+import sys
 
 import pytest
 
@@ -222,6 +224,56 @@ class TestCrashRecovery:
         assert completed[key]["verdict"]["fingerprint"] == direct_fingerprint(
             "helgrind-lib-spin7"
         )
+
+    def test_restart_reclaims_spent_spool_and_drains_pending_upload(
+        self, tmp_path, trace_file
+    ):
+        work = tmp_path / "svc"
+        payload = trace_file.read_bytes()
+        dead = Engine(work, workers=2)
+
+        def upload(tool):
+            sub = validate_request(
+                {
+                    "v": 1,
+                    "tenant": "t",
+                    "kind": "trace",
+                    "trace_b64": base64.b64encode(payload).decode("ascii"),
+                    "tool": tool,
+                }
+            )
+            key, _, _ = dead._content_key(sub)
+            dead.journal.spool_upload(key, payload)
+            dead.journal.accepted(key, dead._journal_request(sub, key))
+            return key
+
+        # Pre-crash state: one upload completed with its spool file left
+        # behind, one accepted and never finished, and a writer temp
+        # whose process is gone.
+        done_key = upload("drd")
+        dead.journal.done(done_key, {"v": 1, "status": "ok"})
+        pending_key = upload("eraser")
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        proc.wait()
+        (dead.journal.uploads / f"{done_key}.tmp.{proc.pid}").write_bytes(b"x" * 100)
+        assert dead.journal.spool_bytes() == 2 * len(payload) + 100
+        dead.journal.close()
+        dead.pool.shutdown()
+
+        async def wait_drained(engine):
+            after_load = engine.journal.spool_bytes()
+            for _ in range(600):
+                if pending_key in engine.completed:
+                    break
+                await asyncio.sleep(0.05)
+            return after_load, dict(engine.completed), engine.journal.spool_bytes()
+
+        after_load, completed, after_drain = run_engine(work, wait_drained)
+        assert after_load == len(payload)  # only the pending upload is kept
+        assert completed[pending_key]["status"] == "ok"
+        direct = repro.run(config="eraser", trace=trace_file)
+        assert completed[pending_key]["verdict"]["fingerprint"] == direct.fingerprint
+        assert after_drain == 0  # dropped once its done line is journaled
 
     def test_unreconstructable_journal_entry_becomes_error_verdict(self, tmp_path):
         work = tmp_path / "svc"

@@ -1,6 +1,9 @@
 """Request journal: fsynced fold, torn-tail truncation, upload spool."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -113,3 +116,32 @@ class TestUploadSpool:
         j = RequestJournal(root)
         j.spool_upload("k1", b"RPRT")
         assert list(j.uploads.glob("*.tmp*")) == []
+
+    def test_load_reclaims_spool_files_no_pending_request_needs(self, root):
+        with RequestJournal(root) as j:
+            for key in ("done", "pending", "orphan"):
+                j.spool_upload(key, b"RPRT")
+            j.accepted("done", REQ)
+            j.done("done", RESP)
+            j.accepted("pending", REQ)
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        proc.wait()
+        dead_tmp = root / "uploads" / f"pending.tmp.{proc.pid}"
+        live_tmp = root / "uploads" / f"pending.tmp.{os.getpid()}"
+        dead_tmp.write_bytes(b"torn")
+        live_tmp.write_bytes(b"writing")
+        j = RequestJournal(root)
+        assert j.spool_bytes() == 3 * 4 + 4 + 7
+        pending, _ = j.load()
+        assert set(pending) == {"pending"}
+        assert sorted(p.name for p in j.uploads.iterdir()) == sorted(
+            ["pending.trc", live_tmp.name]
+        )
+        assert j.spool_bytes() == 4 + 7
+
+    def test_drop_upload(self, root):
+        j = RequestJournal(root)
+        j.spool_upload("k1", b"RPRT")
+        j.drop_upload("k1")
+        j.drop_upload("k1")  # idempotent
+        assert j.upload_path("k1") is None and j.spool_bytes() == 0

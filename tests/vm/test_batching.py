@@ -120,15 +120,6 @@ def test_direct_step_bypasses_batching():
     assert any(isinstance(e, (MemRead, MemWrite)) for e in sink.events)
 
 
-def test_detector_batched_flag_controls_capability():
-    det = RaceDetector(ToolConfig.helgrind_lib())
-    assert det.batch_capable
-    from dataclasses import replace
-
-    det_off = RaceDetector(replace(ToolConfig.helgrind_lib(), batched=False))
-    assert not det_off.batch_capable
-
-
 def test_skip_in_library_traffic_follows_interception_mode():
     assert RaceDetector(ToolConfig.helgrind_lib()).skip_in_library_traffic
     assert not RaceDetector(
